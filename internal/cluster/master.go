@@ -104,6 +104,7 @@ func OpenMaster(o MasterOptions) (*Master, error) {
 
 	committed := map[tx.XID]bool{}
 	dirty := map[tx.XID]bool{}
+	aborted := map[tx.XID]bool{}
 	var maxXID tx.XID
 	for _, r := range recd.Records {
 		if r.XID > maxXID {
@@ -114,6 +115,7 @@ func OpenMaster(o MasterOptions) (*Master, error) {
 			committed[r.XID] = true
 			delete(dirty, r.XID)
 		case tx.RecAbort:
+			aborted[r.XID] = true
 			delete(dirty, r.XID)
 		case tx.RecInsert, tx.RecDelete:
 			if !committed[r.XID] {
@@ -153,6 +155,20 @@ func OpenMaster(o MasterOptions) (*Master, error) {
 	mgr := tx.NewManagerAt(next)
 	for xid := range committed {
 		mgr.MarkCommitted(xid)
+	}
+	// The CLOG counts every XID below next as committed unless marked
+	// otherwise, so the transactions the log shows aborted or still in
+	// flight are recorded as aborted. None of their records were
+	// replayed and the checkpoint dropped their row stamps, so no
+	// catalog row carries one today; the marks keep it that way for
+	// anything that asks the CLOG about them later.
+	for xid := range aborted {
+		if !committed[xid] {
+			mgr.MarkAborted(xid)
+		}
+	}
+	for xid := range dirty {
+		mgr.MarkAborted(xid)
 	}
 
 	w := tx.NewWALAt(log, log.LastLSN()+1)

@@ -586,3 +586,28 @@ func TestAntiJoinDisqualifiedRowDoesNotResurface(t *testing.T) {
 		t.Fatalf("semi = %v", got)
 	}
 }
+
+// TestZonePredsFromFilterTakesBoundParams checks the scan-predicate
+// extraction: comparisons of a projected column with a non-NULL
+// constant or a bound parameter become hints; anything else does not.
+func TestZonePredsFromFilterTakesBoundParams(t *testing.T) {
+	col := &expr.ColRef{Idx: 1, K: types.KindInt64}
+	bound := &expr.Param{Idx: 0, K: types.KindInt64, V: types.NewInt64(7), Bound: true}
+	filter := expr.AndAll([]expr.Expr{
+		expr.NewBinOp(expr.OpEq, col, bound),
+		expr.NewBinOp(expr.OpLt, col, expr.NewConst(types.NewInt64(9))),
+		expr.NewBinOp(expr.OpEq, col, &expr.Param{Idx: 1, K: types.KindInt64}),
+		expr.NewBinOp(expr.OpEq, col, &expr.Param{Idx: 2, K: types.KindInt64, V: types.Null, Bound: true}),
+		expr.NewBinOp(expr.OpEq, col, expr.NewConst(types.Null)),
+		expr.NewBinOp(expr.OpEq, &expr.ColRef{Idx: 5, K: types.KindInt64}, expr.NewConst(types.NewInt64(1))),
+		expr.NewBinOp(expr.OpAdd, col, expr.NewConst(types.NewInt64(1))),
+	})
+	got := zonePredsFromFilter(filter, 2)
+	want := []storage.ZonePred{
+		{Col: 1, Op: storage.ZoneEq, Val: types.NewInt64(7)},
+		{Col: 1, Op: storage.ZoneLt, Val: types.NewInt64(9)},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("zonePredsFromFilter = %+v, want %+v", got, want)
+	}
+}

@@ -61,15 +61,17 @@ func newScanOp(ctx *Context, node *plan.Scan) *scanOp {
 	case catalog.OrientColumn, catalog.OrientParquet:
 		s.canVec = !s.rowMode
 	}
-	if s.canVec {
+	if !s.rowMode {
 		s.zonePreds = zonePredsFromFilter(node.Filter, node.Schema.Len())
 	}
 	return s
 }
 
 // zonePredsFromFilter extracts the pushdown-able conjuncts of a scan
-// filter: <ColRef> <comparison> <non-NULL Const> over the projected
-// width, the shape zone maps can refute per page.
+// filter: <ColRef> <comparison> <non-NULL Const or bound Param> over
+// the projected width, the shape zone maps can refute per page and the
+// AO scan can refute per row. They are hints: the scan filter still
+// runs in full on every row the storage layer returns.
 func zonePredsFromFilter(filter expr.Expr, width int) []storage.ZonePred {
 	if filter == nil {
 		return nil
@@ -84,15 +86,26 @@ func zonePredsFromFilter(filter expr.Expr, width int) []storage.ZonePred {
 		if !ok || cr.Idx >= width {
 			continue
 		}
-		cst, ok := bo.R.(*expr.Const)
-		if !ok || cst.D.IsNull() {
+		var val types.Datum
+		switch r := bo.R.(type) {
+		case *expr.Const:
+			val = r.D
+		case *expr.Param:
+			if !r.Bound {
+				continue
+			}
+			val = r.V
+		default:
+			continue
+		}
+		if val.IsNull() {
 			continue
 		}
 		op, ok := zoneOpOf(bo.Op)
 		if !ok {
 			continue
 		}
-		preds = append(preds, storage.ZonePred{Col: cr.Idx, Op: op, Val: cst.D})
+		preds = append(preds, storage.ZonePred{Col: cr.Idx, Op: op, Val: val})
 	}
 	return preds
 }
@@ -308,7 +321,7 @@ func (s *scanOp) produceBatches() {
 				types.PutBatch(b)
 				return s.ctx.cause()
 			}
-		})
+		}, s.zonePreds...)
 		if err == errScanStopped {
 			return
 		}

@@ -289,13 +289,12 @@ func (r *FileReader) ReadAt(p []byte, off int64) (int, error) {
 		if rem := b.length - boff; want > rem {
 			want = rem
 		}
-		data, err := r.readReplicated(b, boff, want)
+		n, err := r.readReplicated(b, boff, p[read:read+int(want)])
 		if err != nil {
 			return read, err
 		}
-		copy(p[read:], data)
-		read += len(data)
-		off += int64(len(data))
+		read += n
+		off += int64(n)
 	}
 	if read < len(p) {
 		return read, io.EOF
@@ -313,25 +312,31 @@ func (r *FileReader) findBlock(off int64) (int, int64) {
 	panic("hdfs: offset out of range")
 }
 
-func (r *FileReader) readReplicated(b *blockMeta, off, n int64) ([]byte, error) {
+// readReplicated fills dst from block b at off, trying each replica in
+// turn. A replica must hold all of dst: the range lies inside the
+// block's committed length.
+func (r *FileReader) readReplicated(b *blockMeta, off int64, dst []byte) (int, error) {
 	var lastErr error
 	for i, dn := range b.locs {
-		data, err := dn.readBlock(b.id, off, n)
+		n, err := dn.readBlockInto(b.id, off, dst)
+		if err == nil && n < len(dst) {
+			err = fmt.Errorf("datanode %s: replica shorter than block: %w", dn.name, ErrBlockLost)
+		}
 		if err == nil {
 			if i == 0 {
 				hdfsLocalReads.Inc()
 			} else {
 				hdfsRemoteReads.Inc()
 			}
-			hdfsReadBytes.Add(int64(len(data)))
-			return data, nil
+			hdfsReadBytes.Add(int64(n))
+			return n, nil
 		}
 		lastErr = err
 	}
 	if lastErr == nil {
 		lastErr = ErrBlockLost
 	}
-	return nil, fmt.Errorf("hdfs: read %s: %w", r.path, lastErr)
+	return 0, fmt.Errorf("hdfs: read %s: %w", r.path, lastErr)
 }
 
 // Read implements io.Reader.

@@ -151,35 +151,31 @@ func (dn *DataNode) appendBlock(id BlockID, data []byte) error {
 	return nil
 }
 
-// readBlock returns a copy of the block bytes in [off, off+n). n < 0 reads
-// to the end of the block.
-func (dn *DataNode) readBlock(id BlockID, off, n int64) ([]byte, error) {
+// readBlockInto copies the replica's bytes from off into dst, stopping
+// at the end of dst or of the block, and returns the count copied. The
+// copy into the caller's buffer is the only one a read makes.
+func (dn *DataNode) readBlockInto(id BlockID, off int64, dst []byte) (int, error) {
 	dn.mu.RLock()
 	if !dn.alive {
 		dn.mu.RUnlock()
-		return nil, fmt.Errorf("datanode %s down: %w", dn.name, ErrBlockLost)
+		return 0, fmt.Errorf("datanode %s down: %w", dn.name, ErrBlockLost)
 	}
 	vi, ok := dn.blockVol[id]
 	if !ok {
 		dn.mu.RUnlock()
-		return nil, fmt.Errorf("datanode %s: %w", dn.name, ErrBlockLost)
+		return 0, fmt.Errorf("datanode %s: %w", dn.name, ErrBlockLost)
 	}
 	data := dn.volumes[vi].blocks[id]
 	if off > int64(len(data)) {
 		dn.mu.RUnlock()
-		return nil, fmt.Errorf("datanode %s: read past block end", dn.name)
+		return 0, fmt.Errorf("datanode %s: read past block end", dn.name)
 	}
-	end := int64(len(data))
-	if n >= 0 && off+n < end {
-		end = off + n
-	}
-	out := make([]byte, end-off)
-	copy(out, data[off:end])
+	n := copy(dst, data[off:])
 	dn.mu.RUnlock()
-	if d := dn.io.delay(len(out)); d > 0 {
+	if d := dn.io.delay(n); d > 0 {
 		dn.clk.Sleep(d)
 	}
-	return out, nil
+	return n, nil
 }
 
 // truncateBlock shortens a replica to length n.

@@ -336,9 +336,9 @@ func (fs *FileSystem) ReplicationCheck() int {
 				}
 				continue
 			}
+			data := make([]byte, b.length)
 			//hawqcheck:ignore lockorder — simulated disk latency: the injected clock sleep is virtual (instant) under clock.Sim
-			data, err := live[0].readBlock(b.id, 0, -1)
-			if err != nil {
+			if n, err := live[0].readBlockInto(b.id, 0, data); err != nil || n < len(data) {
 				continue
 			}
 			for _, dn := range fs.nodes {

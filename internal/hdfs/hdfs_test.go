@@ -357,3 +357,37 @@ func TestConfigValidation(t *testing.T) {
 		t.Errorf("replication capped to %d, want 2", fs.cfg.Replication)
 	}
 }
+
+func TestReadAtCopiesOnceAndSurvivesDeadFirstReplica(t *testing.T) {
+	fs := newTestFS(t, 4, 4096)
+	data := make([]byte, 3*4096+100)
+	rand.New(rand.NewSource(3)).Read(data)
+	if err := fs.WriteFile("/c", data, CreateOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	r, err := fs.Open("/c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	buf := make([]byte, len(data)-50)
+	read := func() {
+		if n, err := r.ReadAt(buf, 25); err != nil || n != len(buf) {
+			t.Fatalf("ReadAt = %d, %v", n, err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, read); allocs != 0 {
+		t.Errorf("ReadAt allocates %.0f times per call", allocs)
+	}
+	if !bytes.Equal(buf, data[25:len(data)-25]) {
+		t.Fatal("ReadAt bytes differ from the written file")
+	}
+	// Kill the first block's first replica: reads of that block fall
+	// back to the next replica and must return the same bytes.
+	r.blocks[0].locs[0].Kill()
+	clear(buf)
+	read()
+	if !bytes.Equal(buf, data[25:len(data)-25]) {
+		t.Fatal("ReadAt bytes differ after the first replicas died")
+	}
+}

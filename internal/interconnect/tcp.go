@@ -74,7 +74,7 @@ type TCPNode struct {
 	recvs    map[motionKey]*tcpRecv
 	sends    map[StreamID]*tcpSend
 	pending  map[motionKey][]*tcpPendingConn
-	canceled map[uint64]time.Time // recently canceled queries; late-opened streams are born canceled
+	canceled *tombstones[uint64] // recently canceled queries; late-opened streams are born canceled
 	closed   bool
 	wg       sync.WaitGroup
 }
@@ -108,7 +108,7 @@ func NewTCPNode(seg SegID, book *AddrBook, cfg TCPConfig) (*TCPNode, error) {
 		recvs:    map[motionKey]*tcpRecv{},
 		sends:    map[StreamID]*tcpSend{},
 		pending:  map[motionKey][]*tcpPendingConn{},
-		canceled: map[uint64]time.Time{},
+		canceled: newTombstones[uint64](tombstoneLife, cfg.Clock.Now()),
 	}
 	book.SetTCP(seg, ln.Addr().String())
 	n.wg.Add(1)
@@ -254,7 +254,7 @@ func (n *TCPNode) OpenSend(sid StreamID) (SendStream, error) {
 		conn.Close()
 		return nil, ErrClosed
 	}
-	if _, c := n.canceled[sid.Query]; c {
+	if n.canceled.has(sid.Query, n.clk.Now()) {
 		// The query was canceled before this stream opened (cancel races
 		// QE startup): the send is born canceled so Send/Close fail fast
 		// instead of writing to a receiver that is tearing down.
@@ -286,7 +286,7 @@ func (n *TCPNode) OpenRecv(query uint64, motion int16, senders []SegID) (RecvStr
 		n.mu.Unlock()
 		return nil, fmt.Errorf("interconnect: recv stream q%d/m%d already open", query, motion)
 	}
-	if _, c := n.canceled[query]; c {
+	if n.canceled.has(query, n.clk.Now()) {
 		// Born closed: Recv returns ErrClosed immediately; the stream is
 		// never registered, so its Close is a no-op.
 		r.closed = true
@@ -312,15 +312,11 @@ func (n *TCPNode) CancelQuery(query uint64) {
 	n.mu.Lock()
 	if !n.closed {
 		// Remember the cancellation so streams opened later (QE startup
-		// racing the cancel) are born canceled. Tombstones older than a
-		// minute are pruned here — the TCP node has no timer loop.
+		// racing the cancel) are born canceled. Expired generations are
+		// released here — the TCP node has no timer loop.
 		now := n.clk.Now()
-		for q, at := range n.canceled {
-			if now.Sub(at) > time.Minute {
-				delete(n.canceled, q)
-			}
-		}
-		n.canceled[query] = now
+		n.canceled.expire(now)
+		n.canceled.add(query, now)
 	}
 	var victims []*tcpRecv
 	for key, r := range n.recvs {

@@ -30,7 +30,9 @@ type UDPConfig struct {
 	// DrainTimeout bounds how long a send stream's Close waits for the
 	// EOS acknowledgement before giving up with ErrTimeout. Default
 	// 10s. Chaos runs lower it so a stalled peer converts to a clean
-	// error within a bounded number of sim-clock ticks.
+	// error within a bounded number of sim-clock ticks. It also sets
+	// how long a drained receiver's tombstone lives (DrainTimeout +
+	// rtoMax, see UDPNode), so every node of a cluster must share it.
 	DrainTimeout time.Duration
 	// Clock paces retransmission timers and timeouts; nil means the
 	// wall clock. Simulations inject clock.Sim for deterministic
@@ -102,11 +104,25 @@ const (
 	// queryAfter is how long a sender waits with an empty unacked queue
 	// and no capacity before sending a status query (§4.5).
 	queryAfter = 50 * time.Millisecond
+	// tombstoneLife is how long an early-closed receiver or a canceled
+	// query is remembered: long enough for any sender still blocked in
+	// Send to retransmit into the tombstone and learn it must stop.
+	tombstoneLife = time.Minute
 )
 
 // UDPNode is one endpoint of the UDP interconnect: a single UDP socket
 // multiplexing every stream of this node, a background receive goroutine
 // (emptying the kernel buffer quickly, §4.2), and a retransmit timer.
+//
+// A closed receiver leaves a tombstone so a straggling sender's packets
+// are answered with STOP rather than dropped. How long it must live
+// depends on how the receiver ended. One that got EOS from every sender
+// is drained: each sender's Close began before its EOS arrived and ends
+// within DrainTimeout of that, acknowledged or given up, so after
+// DrainTimeout + rtoMax no packet of the stream can still be in flight
+// (TCP's TIME_WAIT). A receiver closed before every EOS arrived may
+// face senders still blocked in Send, which only a STOP releases; it
+// keeps the full tombstoneLife, as do canceled queries.
 type UDPNode struct {
 	seg  SegID
 	conn *net.UDPConn
@@ -117,8 +133,9 @@ type UDPNode struct {
 	mu       sync.Mutex
 	sends    map[StreamID]*udpSend
 	recvs    map[motionKey]*udpRecv
-	ended    map[motionKey]time.Time // closed receivers; answer stray data with STOP
-	canceled map[uint64]time.Time    // recently canceled queries; late-opened streams are born canceled
+	drained  *tombstones[motionKey] // receivers closed after every EOS
+	ended    *tombstones[motionKey] // receivers closed early
+	canceled *tombstones[uint64]    // canceled queries; late-opened streams are born canceled
 	rng      *rand.Rand
 	lossRate float64
 	closed   bool
@@ -137,6 +154,7 @@ func NewUDPNode(seg SegID, book *AddrBook, cfg UDPConfig) (*UDPNode, error) {
 	// Large kernel buffers reduce artificial loss under fan-in.
 	conn.SetReadBuffer(4 << 20)
 	conn.SetWriteBuffer(4 << 20)
+	now := cfg.Clock.Now()
 	n := &UDPNode{
 		seg:      seg,
 		conn:     conn,
@@ -145,8 +163,9 @@ func NewUDPNode(seg SegID, book *AddrBook, cfg UDPConfig) (*UDPNode, error) {
 		clk:      cfg.Clock,
 		sends:    map[StreamID]*udpSend{},
 		recvs:    map[motionKey]*udpRecv{},
-		ended:    map[motionKey]time.Time{},
-		canceled: map[uint64]time.Time{},
+		drained:  newTombstones[motionKey](cfg.DrainTimeout+rtoMax, now),
+		ended:    newTombstones[motionKey](tombstoneLife, now),
+		canceled: newTombstones[uint64](tombstoneLife, now),
 		rng:      rand.New(rand.NewSource(cfg.Seed ^ int64(seg))),
 		lossRate: cfg.LossRate,
 		done:     make(chan struct{}),
@@ -248,10 +267,9 @@ func (n *UDPNode) dispatch(h header, payload []byte, raddr *net.UDPAddr) {
 		key := motionKey{Query: h.Query, Motion: h.Motion, Receiver: h.Receiver}
 		n.mu.Lock()
 		r := n.recvs[key]
-		_, endedRecently := n.ended[key]
 		n.mu.Unlock()
 		if r == nil {
-			if endedRecently {
+			if n.tombstoned(key) {
 				// Straggling sender for a finished stream: stop it.
 				n.transmit(raddr, encodePacket(header{
 					Type: ptStop, Query: h.Query, Motion: h.Motion,
@@ -281,41 +299,50 @@ func (n *UDPNode) dispatch(h header, payload []byte, raddr *net.UDPAddr) {
 	}
 }
 
+// tombstoned reports whether key names a recently closed receiver.
+func (n *UDPNode) tombstoned(key motionKey) bool {
+	now := n.clk.Now()
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.drained.has(key, now) || n.ended.has(key, now)
+}
+
 // timerLoop drives retransmission, sender status queries and waiter
-// wakeups. It scans every send stream's unacked queue — the expiration
-// ring of §4.2.
+// wakeups.
 func (n *UDPNode) timerLoop() {
 	defer n.wg.Done()
 	t := n.clk.NewTicker(2 * time.Millisecond)
 	defer t.Stop()
+	var sends []*udpSend
 	for {
 		select {
 		case <-n.done:
 			return
 		case <-t.C():
 		}
-		n.mu.Lock()
-		sends := make([]*udpSend, 0, len(n.sends))
-		for _, s := range n.sends {
-			sends = append(sends, s)
-		}
-		// Expire old tombstones of finished receivers.
-		now := n.clk.Now()
-		for k, at := range n.ended {
-			if now.Sub(at) > time.Minute {
-				delete(n.ended, k)
-			}
-		}
-		for q, at := range n.canceled {
-			if now.Sub(at) > time.Minute {
-				delete(n.canceled, q)
-			}
-		}
-		n.mu.Unlock()
-		for _, s := range sends {
-			s.tick(now)
-		}
+		sends = n.tick(n.clk.Now(), sends)
 	}
+}
+
+// tick is one timer pass. It scans every send stream's unacked queue —
+// the expiration ring of §4.2 — and releases expired tombstone
+// generations, which costs the same however many tombstones are live.
+// buf is scratch space for the send list, returned for reuse.
+func (n *UDPNode) tick(now time.Time, buf []*udpSend) []*udpSend {
+	n.mu.Lock()
+	sends := buf[:0]
+	for _, s := range n.sends {
+		sends = append(sends, s)
+	}
+	n.drained.expire(now)
+	n.ended.expire(now)
+	n.canceled.expire(now)
+	n.mu.Unlock()
+	for _, s := range sends {
+		s.tick(now)
+	}
+	clear(sends)
+	return sends
 }
 
 // OpenSend implements Node.
@@ -343,7 +370,7 @@ func (n *UDPNode) OpenSend(sid StreamID) (SendStream, error) {
 	if _, dup := n.sends[sid]; dup {
 		return nil, fmt.Errorf("interconnect: send stream %s already open", sid)
 	}
-	if _, c := n.canceled[sid.Query]; c {
+	if n.canceled.has(sid.Query, n.clk.Now()) {
 		// The query was canceled before this stream opened (cancel races
 		// QE startup): the send is born canceled so its Close skips the
 		// EOS drain instead of waiting out DrainTimeout.
@@ -375,7 +402,7 @@ func (n *UDPNode) OpenRecv(query uint64, motion int16, senders []SegID) (RecvStr
 	if _, dup := n.recvs[key]; dup {
 		return nil, fmt.Errorf("interconnect: recv stream q%d/m%d already open", query, motion)
 	}
-	if _, c := n.canceled[query]; c {
+	if n.canceled.has(query, n.clk.Now()) {
 		// Born canceled: Recv returns ErrCanceled immediately rather than
 		// waiting for senders that will never come.
 		r.canceled = true
@@ -905,7 +932,7 @@ func (n *UDPNode) CancelQuery(query uint64) {
 		// Remember the cancellation so streams the query opens later (QE
 		// startup racing the cancel) are born canceled; timerLoop expires
 		// the tombstone.
-		n.canceled[query] = n.clk.Now()
+		n.canceled.add(query, n.clk.Now())
 	}
 	var victims []*udpRecv
 	for key, r := range n.recvs {
@@ -944,11 +971,20 @@ func (r *udpRecv) Close() {
 		r.canceled = true
 		close(r.cancel)
 	}
+	drained := true
+	for _, c := range r.conns {
+		drained = drained && c.done
+	}
 	r.mu.Unlock()
+	now := r.n.clk.Now()
 	r.n.mu.Lock()
 	delete(r.n.recvs, r.key)
 	if !r.n.closed {
-		r.n.ended[r.key] = r.n.clk.Now()
+		if drained {
+			r.n.drained.add(r.key, now)
+		} else {
+			r.n.ended.add(r.key, now)
+		}
 	}
 	r.n.mu.Unlock()
 }

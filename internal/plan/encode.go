@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"sync"
 
 	"hawq/internal/compress"
 	"hawq/internal/expr"
@@ -47,18 +48,43 @@ func init() {
 // so HAWQ compresses them before dispatch (§3.1).
 const planCodec = "quicklz"
 
+// Scratch buffers of the codec, pooled because every dispatch encodes
+// once and every QE decodes once. Encode gob-encodes into one buffer and
+// compresses into another, then returns an exact-size copy; Decode
+// decompresses into a third, and gob copies out whatever it decodes.
+// No result points into a pooled buffer.
+var (
+	encodeBufs = sync.Pool{New: func() any { return new(encodeScratch) }}
+	decodeBufs = sync.Pool{New: func() any { return new([]byte) }}
+)
+
+type encodeScratch struct {
+	gob  bytes.Buffer
+	comp []byte
+}
+
+// maxPooledCodecBuf keeps one outsized plan from pinning its buffers.
+const maxPooledCodecBuf = 1 << 20
+
 // Encode serializes a self-described plan for dispatch to segments:
 // gob-encoded, then compressed.
 func Encode(p *Plan) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(p); err != nil {
+	sc := encodeBufs.Get().(*encodeScratch)
+	sc.gob.Reset()
+	defer func() {
+		if sc.gob.Cap() <= maxPooledCodecBuf && cap(sc.comp) <= maxPooledCodecBuf {
+			encodeBufs.Put(sc)
+		}
+	}()
+	if err := gob.NewEncoder(&sc.gob).Encode(p); err != nil {
 		return nil, fmt.Errorf("plan: encode: %w", err)
 	}
 	c, err := compress.Lookup(planCodec)
 	if err != nil {
 		return nil, err
 	}
-	return c.Compress(nil, buf.Bytes()), nil
+	sc.comp = c.Compress(sc.comp[:0], sc.gob.Bytes())
+	return bytes.Clone(sc.comp), nil
 }
 
 // Decode reverses Encode and rebinds the function implementations that
@@ -69,10 +95,17 @@ func Decode(data []byte) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	raw, err := c.Decompress(nil, data)
+	buf := decodeBufs.Get().(*[]byte)
+	defer func() {
+		if cap(*buf) <= maxPooledCodecBuf {
+			decodeBufs.Put(buf)
+		}
+	}()
+	raw, err := c.Decompress((*buf)[:0], data)
 	if err != nil {
 		return nil, fmt.Errorf("plan: decompress: %w", err)
 	}
+	*buf = raw
 	var p Plan
 	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&p); err != nil {
 		return nil, fmt.Errorf("plan: decode: %w", err)

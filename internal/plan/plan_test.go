@@ -192,3 +192,33 @@ func TestDecodeGarbage(t *testing.T) {
 		t.Error("garbage decoded")
 	}
 }
+
+// TestDecodedPlansOwnTheirBytes decodes two different plans through the
+// pooled codec buffers and checks the first keeps its contents: no
+// decoded string may alias the reused decompression buffer.
+func TestDecodedPlansOwnTheirBytes(t *testing.T) {
+	encode := func(table, path string) []byte {
+		s := scanNode()
+		s.Table.Name = table
+		s.SegFiles[0].Path = path
+		data, err := Encode(Build(&Motion{ID: 1, Type: GatherMotion, Input: s}, []int{QDSegment}, []int{0, 1}, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	a, b := encode("first", "/d/first/0/1"), encode("other", "/d/other/0/1")
+	first, err := Decode(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := Decode(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scan := first.Slices[1].Root.(*Motion).Input.(*Scan)
+	if scan.Table.Name != "first" || scan.SegFiles[0].Path != "/d/first/0/1" {
+		t.Fatalf("first plan changed under later decodes: %q %q", scan.Table.Name, scan.SegFiles[0].Path)
+	}
+}

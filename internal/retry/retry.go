@@ -128,7 +128,9 @@ func (p Policy) Do(ctx context.Context, attempt func(n int) error) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	rng := rand.New(rand.NewSource(p.Seed))
+	// The jitter source is built on the first failure: most calls
+	// succeed at once, and a rand source is kilobytes to seed.
+	var rng *rand.Rand
 	var err error
 	for n := 1; ; n++ {
 		if cerr := ctx.Err(); cerr != nil {
@@ -144,6 +146,9 @@ func (p Policy) Do(ctx context.Context, attempt func(n int) error) error {
 		}
 		if n >= p.MaxAttempts {
 			return fmt.Errorf("retry: %d attempts failed: %w", n, err)
+		}
+		if rng == nil {
+			rng = rand.New(rand.NewSource(p.Seed))
 		}
 		if !sleepCtx(ctx, p.Clock, p.jittered(p.Backoff(n), rng)) {
 			return canceledErr(ctx, err)

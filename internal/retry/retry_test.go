@@ -142,3 +142,14 @@ func TestJitterDeterministicPerSeed(t *testing.T) {
 		t.Fatal("different seeds produced an identical jitter schedule")
 	}
 }
+
+// TestDoFirstTrySuccessAllocatesNoJitterSource keeps the success path
+// cheap: the jitter source is built only once an attempt fails.
+func TestDoFirstTrySuccessAllocatesNoJitterSource(t *testing.T) {
+	p := fastPolicy()
+	ctx := context.Background()
+	ok := func(int) error { return nil }
+	if allocs := testing.AllocsPerRun(100, func() { p.Do(ctx, ok) }); allocs != 0 {
+		t.Errorf("successful first attempt allocates %.0f times", allocs)
+	}
+}

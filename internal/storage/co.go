@@ -140,7 +140,7 @@ func scanCOVec(fs *hdfs.FileSystem, codec compress.Codec, sf catalog.SegFile, pr
 		// Zero-column scan (COUNT(*)): walk column 0's block headers and
 		// emit batches of empty rows — under v2 this never decompresses
 		// a single page.
-		data, err := readRegion(fs, ColFilePath(sf.Path, 0), sf.ColLens[0])
+		data, err := readRegion(fs, ColFilePath(sf.Path, 0), sf.ColLens[0], nil)
 		if err != nil {
 			return err
 		}
@@ -165,7 +165,7 @@ func scanCOVec(fs *hdfs.FileSystem, codec compress.Codec, sf catalog.SegFile, pr
 		if c >= len(sf.ColLens) {
 			return fmt.Errorf("storage: CO projection column %d out of range", c)
 		}
-		data, err := readRegion(fs, ColFilePath(sf.Path, c), sf.ColLens[c])
+		data, err := readRegion(fs, ColFilePath(sf.Path, c), sf.ColLens[c], nil)
 		if err != nil {
 			return err
 		}
@@ -212,7 +212,7 @@ func scanCOVec(fs *hdfs.FileSystem, codec compress.Codec, sf catalog.SegFile, pr
 		vb := types.GetVecBatch(len(proj))
 		vb.SetLen(rc)
 		for j := range hdrs {
-			raw, err := hdrs[j].payload(codec)
+			raw, err := hdrs[j].payload(codec, nil)
 			if err != nil {
 				types.PutVecBatch(vb)
 				return err

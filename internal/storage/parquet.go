@@ -255,7 +255,7 @@ func parseGroup(data []byte, pos int) (pqGroup, int, error) {
 // consults the projected columns' zone maps before decompressing
 // anything, and hands surviving groups to fn as still-encoded vectors.
 func scanParquetVec(fs *hdfs.FileSystem, codec compress.Codec, sf catalog.SegFile, proj []int, preds []ZonePred, st *ScanStats, fn func(*types.VecBatch) error) error {
-	data, err := readRegion(fs, sf.Path, sf.LogicalLen)
+	data, err := readRegion(fs, sf.Path, sf.LogicalLen, nil)
 	if err != nil {
 		return err
 	}

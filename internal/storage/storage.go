@@ -132,7 +132,14 @@ func Scan(fs *hdfs.FileSystem, spec catalog.StorageSpec, schema *types.Schema, s
 // of materializing row-by-row. Ownership of each batch transfers to fn,
 // which must release it with types.PutBatch (or hand it on) — the scan
 // never touches a batch again after fn returns.
-func ScanBatches(fs *hdfs.FileSystem, spec catalog.StorageSpec, schema *types.Schema, sf catalog.SegFile, proj []int, fn func(*types.Batch) error) error {
+//
+// preds are hints over the projected columns, as in ScanVecBatches: the
+// AO scan tests them on each row's stored bytes and decodes only rows
+// that may pass, so a selective lookup skips decoding (and allocating)
+// the rest of the block. A scan may still return rows that fail them,
+// and blocks left empty are not delivered; callers apply their full
+// filter to what arrives. The columnar formats ignore preds here.
+func ScanBatches(fs *hdfs.FileSystem, spec catalog.StorageSpec, schema *types.Schema, sf catalog.SegFile, proj []int, fn func(*types.Batch) error, preds ...ZonePred) error {
 	codec, err := compress.Lookup(spec.Codec)
 	if err != nil {
 		return err
@@ -145,7 +152,7 @@ func ScanBatches(fs *hdfs.FileSystem, spec catalog.StorageSpec, schema *types.Sc
 	}
 	switch spec.Orientation {
 	case catalog.OrientRow, "":
-		return scanAOBatches(fs, codec, sf, proj, fn)
+		return scanAOBatches(fs, codec, sf, proj, preds, fn)
 	case catalog.OrientColumn:
 		return scanCOBatches(fs, codec, sf, proj, fn)
 	case catalog.OrientParquet:
@@ -253,14 +260,15 @@ type pageHdr struct {
 	off int
 }
 
-// payload verifies the checksum and decompresses the page. Deferring
-// this until after the zone-map decision is what makes page skipping
-// pay: a skipped page costs exactly one header parse.
-func (h *pageHdr) payload(codec compress.Codec) ([]byte, error) {
+// payload verifies the checksum and decompresses the page into dst's
+// storage (nil allocates). Deferring this until after the zone-map
+// decision is what makes page skipping pay: a skipped page costs
+// exactly one header parse.
+func (h *pageHdr) payload(codec compress.Codec, dst []byte) ([]byte, error) {
 	if crc32.ChecksumIEEE(h.comp) != h.crc {
 		return nil, fmt.Errorf("storage: block checksum mismatch at offset %d", h.off)
 	}
-	raw, err := codec.Decompress(nil, h.comp)
+	raw, err := codec.Decompress(dst[:0], h.comp)
 	if err != nil {
 		return nil, fmt.Errorf("storage: %w", err)
 	}
@@ -347,17 +355,18 @@ func (it *blockIter) next(codec compress.Codec) (int, []byte, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	raw, err := h.payload(codec)
+	raw, err := h.payload(codec, nil)
 	if err != nil {
 		return 0, nil, err
 	}
 	return h.rows, raw, nil
 }
 
-// readRegion reads [0, length) of an HDFS file. A zero length yields nil
+// readRegion reads [0, length) of an HDFS file into dst's storage,
+// growing it if needed (nil allocates). A zero length yields nil
 // without touching the file (the file may not even exist yet when a
 // table has never committed an insert on this lane).
-func readRegion(fs *hdfs.FileSystem, path string, length int64) ([]byte, error) {
+func readRegion(fs *hdfs.FileSystem, path string, length int64, dst []byte) ([]byte, error) {
 	if length == 0 {
 		return nil, nil
 	}
@@ -369,7 +378,11 @@ func readRegion(fs *hdfs.FileSystem, path string, length int64) ([]byte, error) 
 	if r.Size() < length {
 		return nil, fmt.Errorf("storage: %s physical length %d below logical %d", path, r.Size(), length)
 	}
-	buf := make([]byte, length)
+	buf := dst[:0]
+	if int64(cap(buf)) < length {
+		buf = make([]byte, length)
+	}
+	buf = buf[:length]
 	if _, err := r.ReadAt(buf, 0); err != nil && err != io.EOF {
 		return nil, err
 	}

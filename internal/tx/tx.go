@@ -73,18 +73,18 @@ var ErrAborted = errors.New("tx: transaction is aborted")
 
 // Manager allocates transaction IDs, tracks their status, and builds
 // snapshots. It lives on the master node only.
+//
+// The CLOG keeps only the exceptions: running holds the in-progress
+// XIDs and aborted the aborted ones. Every other assigned XID — below
+// nextXID — is committed. Commits, the common case and one per
+// read-only statement, therefore cost no memory, and a long-running
+// master's CLOG grows only with its aborts.
 type Manager struct {
 	mu      sync.Mutex
 	nextXID XID
-	status  map[XID]Status
 	running map[XID]struct{}
-	// floor: transactions below it are committed unless the status map
-	// says otherwise. A manager restored from a checkpoint cannot carry
-	// the full CLOG; every XID the snapshot could reference is < floor
-	// and either committed (its rows are in the snapshot) or aborted
-	// with no surviving rows, so "committed" is the safe default.
-	floor XID
-	wal   *WAL // optional durable log; commits flush through it
+	aborted map[XID]struct{}
+	wal     *WAL // optional durable log; commits flush through it
 	// catVer counts committed catalog changes that can invalidate cached
 	// plans. It is bumped inside finish(), under the same mutex that
 	// builds snapshots, so a snapshot and its CatVer are captured
@@ -99,27 +99,21 @@ type Manager struct {
 // NewManager creates a transaction manager. The bootstrap transaction is
 // pre-committed.
 func NewManager() *Manager {
-	return &Manager{
-		nextXID:  BootstrapXID + 1,
-		status:   map[XID]Status{BootstrapXID: StatusCommitted},
-		running:  map[XID]struct{}{},
-		catDirty: map[XID]struct{}{},
-	}
+	return NewManagerAt(BootstrapXID + 1)
 }
 
 // NewManagerAt creates a manager for a recovered master: XIDs resume at
-// nextXID and every XID below it is treated as committed. Recovery marks
-// replayed commits explicitly via MarkCommitted (a no-op under the floor,
-// but kept for clarity and for XIDs at or past it).
+// nextXID and every XID below it is committed until MarkAborted says
+// otherwise. Recovery marks the transactions the log shows aborted or
+// still in flight that way, and replayed commits via MarkCommitted.
 func NewManagerAt(nextXID XID) *Manager {
 	if nextXID <= BootstrapXID {
 		nextXID = BootstrapXID + 1
 	}
 	return &Manager{
 		nextXID:  nextXID,
-		status:   map[XID]Status{BootstrapXID: StatusCommitted},
 		running:  map[XID]struct{}{},
-		floor:    nextXID,
+		aborted:  map[XID]struct{}{},
 		catDirty: map[XID]struct{}{},
 	}
 }
@@ -164,7 +158,18 @@ func (m *Manager) NextXID() XID {
 func (m *Manager) MarkCommitted(xid XID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.status[xid] = StatusCommitted
+	delete(m.aborted, xid)
+	if xid >= m.nextXID {
+		m.nextXID = xid + 1
+	}
+}
+
+// MarkAborted records xid as aborted in the CLOG (recovery: a
+// transaction the log shows aborted, or in flight at the crash).
+func (m *Manager) MarkAborted(xid XID) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.aborted[xid] = struct{}{}
 	if xid >= m.nextXID {
 		m.nextXID = xid + 1
 	}
@@ -194,7 +199,7 @@ func (m *Manager) AbortInFlight() []XID {
 	m.mu.Lock()
 	out := make([]XID, 0, len(m.running))
 	for x := range m.running {
-		m.status[x] = StatusAborted
+		m.aborted[x] = struct{}{}
 		delete(m.running, x)
 		delete(m.catDirty, x)
 		out = append(out, x)
@@ -215,7 +220,6 @@ func (m *Manager) Begin(level IsolationLevel) *Tx {
 	defer m.mu.Unlock()
 	xid := m.nextXID
 	m.nextXID++
-	m.status[xid] = StatusInProgress
 	m.running[xid] = struct{}{}
 	t := &Tx{mgr: m, xid: xid, level: level}
 	if level == Serializable {
@@ -225,8 +229,8 @@ func (m *Manager) Begin(level IsolationLevel) *Tx {
 	return t
 }
 
-// StatusOf returns a transaction's CLOG status. XIDs below the recovery
-// floor default to committed (see NewManagerAt).
+// StatusOf returns a transaction's CLOG status. An XID not yet assigned
+// reads as in progress.
 func (m *Manager) StatusOf(xid XID) Status {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -234,10 +238,13 @@ func (m *Manager) StatusOf(xid XID) Status {
 }
 
 func (m *Manager) statusLocked(xid XID) Status {
-	if s, ok := m.status[xid]; ok {
-		return s
+	if _, ok := m.running[xid]; ok {
+		return StatusInProgress
 	}
-	if xid != InvalidXID && xid < m.floor {
+	if _, ok := m.aborted[xid]; ok {
+		return StatusAborted
+	}
+	if xid != InvalidXID && xid < m.nextXID {
 		return StatusCommitted
 	}
 	return StatusInProgress
@@ -250,7 +257,9 @@ func (m *Manager) finish(xid XID, s Status) Status {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.statusLocked(xid) == StatusInProgress {
-		m.status[xid] = s
+		if s == StatusAborted {
+			m.aborted[xid] = struct{}{}
+		}
 		delete(m.running, xid)
 		if _, dirty := m.catDirty[xid]; dirty {
 			delete(m.catDirty, xid)

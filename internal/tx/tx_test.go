@@ -320,3 +320,57 @@ func TestQuickMVCCVisibility(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCLOGKeepsOnlyExceptions checks that finished commits leave no CLOG
+// entry while their status still reads committed, and that aborts and
+// running transactions are the only state kept.
+func TestCLOGKeepsOnlyExceptions(t *testing.T) {
+	m := NewManager()
+	first := m.Begin(ReadCommitted)
+	first.Commit()
+	for i := 0; i < 10000; i++ {
+		if err := m.Begin(ReadCommitted).Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	aborted := m.Begin(ReadCommitted)
+	aborted.Abort()
+	running := m.Begin(ReadCommitted)
+	if len(m.running) != 1 || len(m.aborted) != 1 {
+		t.Fatalf("CLOG holds %d running and %d aborted XIDs after 10k commits, want 1 and 1", len(m.running), len(m.aborted))
+	}
+	for xid, want := range map[XID]Status{
+		BootstrapXID:      StatusCommitted,
+		first.XID():       StatusCommitted,
+		aborted.XID():     StatusAborted,
+		running.XID():     StatusInProgress,
+		running.XID() + 1: StatusInProgress,
+	} {
+		if got := m.StatusOf(xid); got != want {
+			t.Errorf("StatusOf(%d) = %d, want %d", xid, got, want)
+		}
+	}
+	running.Commit()
+	if m.StatusOf(running.XID()) != StatusCommitted || len(m.running) != 0 {
+		t.Error("commit left the XID running")
+	}
+}
+
+// TestRecoveredManagerMarks checks a recovered manager: XIDs below the
+// resume point are committed unless recovery marked them aborted.
+func TestRecoveredManagerMarks(t *testing.T) {
+	m := NewManagerAt(100)
+	m.MarkAborted(40)
+	m.MarkCommitted(120)
+	for xid, want := range map[XID]Status{
+		39: StatusCommitted, 40: StatusAborted, 99: StatusCommitted,
+		120: StatusCommitted, 121: StatusInProgress,
+	} {
+		if got := m.StatusOf(xid); got != want {
+			t.Errorf("StatusOf(%d) = %d, want %d", xid, got, want)
+		}
+	}
+	if x := m.Begin(ReadCommitted).XID(); x != 121 {
+		t.Errorf("next XID after recovery = %d, want 121", x)
+	}
+}

@@ -98,17 +98,10 @@ func EncodeRow(buf []byte, r Row) []byte {
 }
 
 // DecodeRow decodes a row produced by EncodeRow, returning the row and the
-// number of bytes consumed.
+// number of bytes consumed. It never panics on truncated or corrupt
+// input: the column count in the header is validated against the bytes
+// actually present before any allocation.
 func DecodeRow(buf []byte) (Row, int, error) {
-	return DecodeRowInto(buf, nil)
-}
-
-// DecodeRowInto decodes a row like DecodeRow but reuses row's backing
-// storage when it has capacity, returning the (possibly reallocated)
-// row. It never panics on truncated or corrupt input: the column count
-// in the header is validated against the bytes actually present before
-// any allocation.
-func DecodeRowInto(buf []byte, row Row) (Row, int, error) {
 	n, consumed := binary.Uvarint(buf)
 	if consumed <= 0 {
 		return nil, 0, fmt.Errorf("types: truncated row header")
@@ -119,10 +112,7 @@ func DecodeRowInto(buf []byte, row Row) (Row, int, error) {
 	if n > uint64(len(buf)-consumed) {
 		return nil, 0, fmt.Errorf("types: row header claims %d columns, only %d bytes left", n, len(buf)-consumed)
 	}
-	if row == nil || uint64(cap(row)) < n {
-		row = make(Row, n)
-	}
-	row = row[:n]
+	row := make(Row, n)
 	pos := consumed
 	for i := range row {
 		d, sz, err := DecodeDatum(buf[pos:])

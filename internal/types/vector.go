@@ -79,7 +79,7 @@ func SkipDatum(buf []byte) (int, error) {
 		}
 		return 2, nil
 	case KindInt32, KindInt64, KindDate:
-		_, n := binary.Varint(buf[pos:])
+		n := varintLen(buf[pos:])
 		if n <= 0 {
 			return 0, fmt.Errorf("types: truncated varint")
 		}
@@ -94,7 +94,7 @@ func SkipDatum(buf []byte) (int, error) {
 		if len(buf) < pos {
 			return 0, fmt.Errorf("types: truncated decimal")
 		}
-		_, n := binary.Varint(buf[pos:])
+		n := varintLen(buf[pos:])
 		if n <= 0 {
 			return 0, fmt.Errorf("types: truncated decimal value")
 		}
@@ -112,6 +112,24 @@ func SkipDatum(buf []byte) (int, error) {
 	default:
 		return 0, fmt.Errorf("types: skip of bad kind %d", k)
 	}
+}
+
+// varintLen returns the length of the varint at the start of buf, or 0
+// where binary.Varint would fail (truncated or overflowing), without
+// computing its value.
+func varintLen(buf []byte) int {
+	for i, b := range buf {
+		if i == binary.MaxVarintLen64 {
+			return 0
+		}
+		if b < 0x80 {
+			if i == binary.MaxVarintLen64-1 && b > 1 {
+				return 0
+			}
+			return i + 1
+		}
+	}
+	return 0
 }
 
 // Decode appends all N row values of the vector to dst in row order,

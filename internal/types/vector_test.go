@@ -1,6 +1,7 @@
 package types
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -178,4 +179,32 @@ func TestVecPoolCountersBalance(t *testing.T) {
 	if got := VecPoolInUse(); got != base {
 		t.Fatalf("in_use after put = %d, want %d", got, base)
 	}
+}
+
+// TestVarintLenMatchesVarint checks the value-free varint skip accepts
+// and rejects exactly what binary.Varint does, truncated and
+// overflowing encodings included.
+func TestVarintLenMatchesVarint(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	check := func(b []byte) {
+		_, want := binary.Varint(b)
+		if want < 0 {
+			want = 0
+		}
+		if got := varintLen(b); got != want {
+			t.Fatalf("varintLen(% x) = %d, binary.Varint consumed %d", b, got, want)
+		}
+	}
+	for i := 0; i < 20000; i++ {
+		b := make([]byte, rng.Intn(13))
+		for j := range b {
+			// Mostly continuation bytes, so long and overflowing
+			// encodings are common.
+			b[j] = byte(rng.Intn(256)) | byte(rng.Intn(2)<<7)
+		}
+		check(b)
+		check(binary.AppendVarint(nil, rng.Int63()-rng.Int63()))
+	}
+	check([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
+	check([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02})
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # bench.sh runs the vectorized-execution micro-benchmarks (row vs batch
 # for encode/decode, storage scans — including the encoded CO path with
-# zone-map page skipping against the filter-batch baseline — the
+# zone-map page skipping against the filter-batch baseline, and an AO
+# point lookup with its key predicate pushed into the scan — the
 # scan→filter→project pipeline, hash aggregation, and motion loopback),
 # the runtime bloom-filter join microbench (probe-side scan with the
 # build-side filter off vs on) plus the workload-manager
@@ -10,7 +11,8 @@
 # (scan→filter→project with per-operator stats off vs on; the on/off
 # delta is the EXPLAIN ANALYZE instrumentation cost and must stay
 # under 5%), the master crash-recovery microbench (rebooting the
-# catalog from a ~10k-record durable WAL), and the hawq-check
+# catalog from a ~10k-record durable WAL), one UDP interconnect timer
+# tick with 100k receiver tombstones live, and the hawq-check
 # self-benchmark (one full ten-analyzer
 # run over the repository; budget <10s), and writes the results to
 # BENCH_micro.json as {"BenchmarkName/variant": {ns_op, b_op,
@@ -50,8 +52,8 @@ if [[ "${1:-}" == "--smoke" ]]; then
     RACE=(-race)
 fi
 
-PATTERN='BenchmarkEncodeRow|BenchmarkDecodeRow|BenchmarkScanAO|BenchmarkScanCO|BenchmarkScanParquet|BenchmarkScanFilterProject|BenchmarkHashAgg|BenchmarkMotionLoopback|BenchmarkSpillJoin|BenchmarkStatsOverhead|BenchmarkJoinRuntimeFilter|BenchmarkMasterRecovery'
-PKGS="./internal/types ./internal/storage ./internal/executor ./internal/cluster"
+PATTERN='BenchmarkEncodeRow|BenchmarkDecodeRow|BenchmarkScanAO|BenchmarkScanCO|BenchmarkScanParquet|BenchmarkScanFilterProject|BenchmarkHashAgg|BenchmarkMotionLoopback|BenchmarkSpillJoin|BenchmarkStatsOverhead|BenchmarkJoinRuntimeFilter|BenchmarkMasterRecovery|BenchmarkUDPTimerTick'
+PKGS="./internal/types ./internal/storage ./internal/executor ./internal/cluster ./internal/interconnect"
 
 OUT="BENCH_micro.json"
 RAW="$(mktemp)"
